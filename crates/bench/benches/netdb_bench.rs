@@ -8,6 +8,7 @@ use std::hint::black_box;
 
 fn seeded(pods: u32, switches: u32) -> Database {
     let db = Database::new();
+    db.set_wal_floor(Some(0)); // the replay bench replays real history
     for p in 0..pods {
         for s in 0..switches {
             db.insert_device(

@@ -128,6 +128,8 @@ fn main() {
 
     let reg = Registry::new();
     let db = Arc::new(Database::with_obs(&reg));
+    // The equivalence gate replays the real history, so keep all of it.
+    db.set_wal_floor(Some(0));
     let t0 = Instant::now();
     let devices = seed(&db, &s);
     let seed_secs = t0.elapsed().as_secs_f64();

@@ -53,6 +53,7 @@ const RUNTIME_NAMES: &[&str] = &[
     "netdb.wal.appends",
     "netdb.wal.records",
     "netdb.wal.append_ns",
+    "netdb.wal.retained_records",
     "netdb.snapshot_ns",
     "netdb.shard.commits",
     "netdb.shard.read_lock_free",
@@ -203,16 +204,20 @@ const SIM_NAMES: &[&str] = &[
 
 fn check_contract(section: &str, reg: &Registry, names: &[&str]) {
     let counters: Vec<String> = reg.counters().into_iter().map(|(n, _)| n).collect();
+    let gauges: Vec<String> = reg.gauges().into_iter().map(|(n, _)| n).collect();
     let histograms: Vec<String> = reg.histograms().into_iter().map(|(n, _)| n).collect();
     for name in names {
         assert!(
-            counters.iter().any(|n| n == name) || histograms.iter().any(|n| n == name),
+            counters.iter().any(|n| n == name)
+                || gauges.iter().any(|n| n == name)
+                || histograms.iter().any(|n| n == name),
             "{section}: instrument `{name}` from DESIGN.md §9 is missing"
         );
     }
     println!(
-        "{section}: {} counters, {} histograms, {} events recorded",
+        "{section}: {} counters, {} gauges, {} histograms, {} events recorded",
         counters.len(),
+        gauges.len(),
         histograms.len(),
         reg.events().recorded()
     );

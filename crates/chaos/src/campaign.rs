@@ -154,6 +154,8 @@ impl Campaign {
         let reg = Registry::new();
         let ft = FatTree::build(1, 4).expect("k=4 fat tree");
         let db = Arc::new(Database::with_obs(&reg));
+        // Crash points replay real WAL history, so keep all of it.
+        db.set_wal_floor(Some(0));
         let mut singles = Vec::new();
         for (_, d) in ft.topo.devices() {
             if d.role == Role::Host {

@@ -16,7 +16,7 @@ use crate::shard::{StoreSnapshot, StoreState};
 use crate::value::AttrValue;
 use crate::view::ReadView;
 use crate::wal::{Wal, WalRecord};
-use occam_obs::{Counter, EventKind, EventRing, Histogram, Registry, Span};
+use occam_obs::{Counter, EventKind, EventRing, Gauge, Histogram, Registry, Span};
 use occam_regex::Pattern;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
@@ -336,6 +336,7 @@ struct DbObs {
     wal_appends: Counter,
     wal_records: Counter,
     wal_append_ns: Histogram,
+    wal_retained: Gauge,
     snapshot_ns: Histogram,
     shard_commits: Counter,
     lock_free_reads: Counter,
@@ -350,6 +351,7 @@ impl DbObs {
             wal_appends: reg.counter("netdb.wal.appends"),
             wal_records: reg.counter("netdb.wal.records"),
             wal_append_ns: reg.histogram("netdb.wal.append_ns"),
+            wal_retained: reg.gauge("netdb.wal.retained_records"),
             snapshot_ns: reg.histogram("netdb.snapshot_ns"),
             shard_commits: reg.counter("netdb.shard.commits"),
             lock_free_reads: reg.counter("netdb.shard.read_lock_free"),
@@ -437,10 +439,16 @@ impl Database {
 
     /// Appends one committed batch to the WAL, recording append latency,
     /// record counts, and a `wal_append` event.
-    fn wal_append(&self, records: Vec<WalRecord>) -> u64 {
-        let n = records.len() as u64;
+    /// `n` is the batch's record count, commit marker excluded; `records`
+    /// may be empty when the WAL keeps nothing (see `commit_records`).
+    fn wal_append(&self, n: u64, records: impl IntoIterator<Item = WalRecord>) -> u64 {
         let span = Span::start(&self.obs.wal_append_ns);
-        let seq = self.wal.lock().append_batch(records);
+        let seq = {
+            let mut wal = self.wal.lock();
+            let seq = wal.append_batch(records);
+            self.obs.wal_retained.set(wal.retained_records() as u64);
+            seq
+        };
         span.finish();
         self.obs.wal_appends.inc();
         self.obs.wal_records.add(n);
@@ -504,15 +512,66 @@ impl Database {
         self.wal.lock().num_commits()
     }
 
-    /// A copy of the WAL records (for replay tests and audit).
+    /// A record sequence that replays to the current state and commit
+    /// count (for replay tests, persistence and audit). While the WAL
+    /// still holds every commit since its floor was pinned, that is real
+    /// history: the checkpoint of the state at the pin (nothing, for a
+    /// pin before the first commit), then every commit since. Otherwise
+    /// it is a [checkpoint](StoreSnapshot::checkpoint) of the published
+    /// state.
     pub fn wal_records(&self) -> Vec<WalRecord> {
-        self.wal.lock().records().to_vec()
+        let history = self.wal.lock().history();
+        history.unwrap_or_else(|| self.checkpoint())
     }
 
-    /// First commit sequence the local WAL physically holds records for
-    /// (`0` unless this replica bootstrapped from a snapshot).
+    /// A checkpoint of the published state: its rows as inserts, sealed
+    /// by the marker of the last commit it holds.
+    pub fn checkpoint(&self) -> Vec<WalRecord> {
+        self.snapshot().checkpoint()
+    }
+
+    /// First commit sequence the local WAL physically holds records for:
+    /// the retention floor once commits pass it, or the base of a
+    /// snapshot bootstrap or recovery.
     pub fn wal_base_commits(&self) -> u64 {
         self.wal.lock().base_commits()
+    }
+
+    /// WAL records currently held, commit markers excluded.
+    pub fn wal_retained_records(&self) -> usize {
+        self.wal.lock().retained_records()
+    }
+
+    /// Sets the WAL retention floor: records of commits below `floor`
+    /// are dropped, now and as commits pass it, and a reader asking for
+    /// them gets a snapshot instead. `None` — the default — keeps nothing
+    /// past the current commit. A replica set's shipper sets its leader's
+    /// floor to the minimum commit its reachable followers confirmed;
+    /// tests that replay real history pin it at `Some(0)`, which keeps
+    /// every commit from the pin on. Trimmed history never comes back.
+    pub fn set_wal_floor(&self, floor: Option<u64>) {
+        // A commit decides under the writer lock whether the WAL keeps its
+        // records (`commit_records`), so the log only starts keeping
+        // records between commits.
+        let starts_keeping = floor.is_some() && !self.wal.lock().keeps_records();
+        let _w = starts_keeping.then(|| self.writer.lock());
+        let mut wal = self.wal.lock();
+        if floor.is_some() && !wal.keeps_records() && !starts_keeping {
+            // The floor was released since the check: retry under the
+            // writer lock.
+            drop(wal);
+            return self.set_wal_floor(floor);
+        }
+        // Pinning an empty log at or below its current commit keeps the
+        // state there, so `wal_records` stays real history from the pin.
+        let pinned = matches!(floor, Some(f) if f <= wal.num_commits())
+            && wal.pin_at(|| StoreSnapshot {
+                state: self.current(),
+            });
+        if !pinned {
+            wal.set_floor(floor);
+        }
+        self.obs.wal_retained.set(wal.retained_records() as u64);
     }
 
     /// Blocks until the database has at least `min` commits or `timeout`
@@ -538,8 +597,8 @@ impl Database {
 
     /// The WAL suffix committed after the first `commits` commits, with
     /// the sequence it starts at. `None` means the history is no longer
-    /// held locally (the WAL was re-based past `commits` by a snapshot
-    /// bootstrap) and the requester needs a snapshot transfer instead.
+    /// held locally (trimmed below the retention floor, or re-based past
+    /// `commits`) and the requester needs a snapshot transfer instead.
     pub(crate) fn wal_suffix_after_commits(&self, commits: u64) -> Option<(u64, Vec<WalRecord>)> {
         self.wal.lock().suffix_after_commits(commits)
     }
@@ -580,7 +639,11 @@ impl Database {
         let dirty = next.finalize(&base);
         let n = records.len() as u64;
         let span = Span::start(&self.obs.wal_append_ns);
-        self.wal.lock().append_batch_at(records.to_vec(), seq)?;
+        {
+            let mut wal = self.wal.lock();
+            wal.append_batch_at(records.iter().cloned(), seq)?;
+            self.obs.wal_retained.set(wal.retained_records() as u64);
+        }
         span.finish();
         self.obs.wal_appends.inc();
         self.obs.wal_records.add(n);
@@ -595,8 +658,8 @@ impl Database {
 
     /// Installs a bootstrap snapshot carrying the first `commits` commits:
     /// swaps in the snapshot's shard vector (O(1) — the `Arc`s are shared,
-    /// not cloned) and re-bases a fresh WAL so subsequent replicated
-    /// commits continue the leader's numbering.
+    /// not cloned) and re-bases the WAL so subsequent replicated commits
+    /// continue the leader's numbering.
     pub(crate) fn install_snapshot(&self, snap: &StoreSnapshot, commits: u64) {
         let _w = self.writer.lock();
         // Adopt the snapshot's shard-version vector wholesale so OCC
@@ -605,45 +668,38 @@ impl Database {
         let mut state = (*snap.state).clone();
         state.commits = commits;
         *self.state.lock() = Arc::new(state);
-        let mut wal = self.wal.lock();
-        *wal = Wal::new();
-        wal.rebase(commits);
-        drop(wal);
+        self.rebase_wal(commits);
         self.commit_cv.notify_all();
     }
 
-    /// Installs a recovered record sequence: replays it into the store and
-    /// re-seeds the WAL so future commits continue the history.
-    pub(crate) fn install_recovered(&self, records: Vec<WalRecord>) {
+    /// Empties the WAL and resumes numbering at `commits`, keeping the
+    /// retention floor.
+    fn rebase_wal(&self, commits: u64) {
+        self.wal.lock().rebase(commits);
+        self.obs.wal_retained.set(0);
+    }
+
+    /// Installs a recovered record sequence — a WAL dump, a checkpoint,
+    /// or a checkpoint followed by later commits — and resumes the commit
+    /// numbering after it.
+    pub(crate) fn install_recovered(&self, records: &[WalRecord]) {
         let _w = self.writer.lock();
-        // Replay batch-by-batch (each `Commit` marker seals one), both to
-        // preserve the WAL's commit structure and to reproduce the exact
-        // per-shard version vector the live commit path would have
-        // published — recovery must not perturb OCC validation.
-        let mut fresh = Wal::new();
-        let mut state = StoreState::new();
-        let mut base = state.clone();
-        let mut batch: Vec<WalRecord> = Vec::new();
-        for r in records {
-            match r {
-                WalRecord::Commit { .. } => {
-                    state.finalize(&base);
-                    base = state.clone();
-                    fresh.append_batch(std::mem::take(&mut batch));
-                }
-                other => {
-                    state.apply(&other);
-                    batch.push(other);
-                }
-            }
-        }
-        if !batch.is_empty() {
+        // `StoreSnapshot::replay` seals each batch at its `Commit` marker,
+        // reproducing the per-shard version vector the live commit path
+        // published (recovery must not perturb OCC validation), honours
+        // a checkpoint marker's sequence, and keeps a torn tail as
+        // uncommitted changes.
+        let mut state = (*StoreSnapshot::replay(records).state).clone();
+        if records
+            .last()
+            .is_some_and(|r| !matches!(r, WalRecord::Commit { .. }))
+        {
             // A torn tail recovers as one final committed batch.
-            state.finalize(&base);
-            fresh.append_batch(batch);
+            state.commits += 1;
         }
+        let commits = state.commits;
         *self.state.lock() = Arc::new(state);
-        *self.wal.lock() = fresh;
+        self.rebase_wal(commits);
         self.commit_cv.notify_all();
     }
 
@@ -869,15 +925,26 @@ impl Database {
     /// crash points rely on.
     fn commit_records(&self, base: &Arc<StoreState>, records: Vec<WalRecord>) -> u64 {
         let mut next = (**base).clone();
-        for r in &records {
-            next.apply(r);
-        }
+        let n = records.len() as u64;
+        // A WAL that keeps nothing would only free the records: move them
+        // into the store instead of cloning them in.
+        let records = if self.wal.lock().keeps_records() {
+            for r in &records {
+                next.apply(r);
+            }
+            records
+        } else {
+            for r in records {
+                next.apply_owned(r);
+            }
+            Vec::new()
+        };
         // Seal versions *before* the WAL append: both happen under the
         // held writer lock, so the shard-version bump and the WAL commit
         // sequence can never be observed out of order — the certifier's
         // commit order is exactly WAL order.
         let dirty = next.finalize(base);
-        let seq = self.wal_append(records);
+        let seq = self.wal_append(n, records);
         debug_assert_eq!(next.commits, seq + 1, "commit counter tracks WAL seq");
         *self.state.lock() = Arc::new(next);
         self.obs.shard_commits.add(dirty as u64);
@@ -1089,7 +1156,8 @@ impl Database {
             dirty.len(),
             "graft dirties exactly the staged shards"
         );
-        let seq = self.wal_append(staged.records().to_vec());
+        let records = staged.records();
+        let seq = self.wal_append(records.len() as u64, records.iter().cloned());
         *self.state.lock() = Arc::new(next);
         self.obs.shard_commits.add(bumped as u64);
         self.commit_cv.notify_all();
@@ -1112,8 +1180,10 @@ mod tests {
         Pattern::from_glob(glob).unwrap()
     }
 
+    /// A seeded database that keeps its whole WAL, for replay checks.
     fn seeded() -> Database {
         let db = Database::new();
+        db.set_wal_floor(Some(0));
         for pod in 0..3 {
             for sw in 0..4 {
                 db.insert_device(
@@ -1240,6 +1310,52 @@ mod tests {
     }
 
     #[test]
+    fn pin_after_seeding_keeps_history_from_the_pin() {
+        let db = Database::new();
+        db.insert_device("dc01.pod00.sw00", vec![]).unwrap();
+        db.insert_device("dc01.pod00.sw01", vec![]).unwrap();
+        assert_eq!(db.wal_retained_records(), 0);
+        assert_eq!(db.wal_records(), db.checkpoint());
+        db.set_wal_floor(Some(0));
+        db.set_attr(&pat("dc01.*"), "X", AttrValue::Int(1)).unwrap();
+        db.delete_device("dc01.pod00.sw00").unwrap();
+        // The seed as a checkpoint (sealed at commit 1), then the two
+        // real batches.
+        let records = db.wal_records();
+        let markers: Vec<u64> = records
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Commit { seq } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(markers, vec![1, 2, 3]);
+        assert!(matches!(
+            records[records.len() - 2],
+            WalRecord::DeleteDevice { .. }
+        ));
+        let replayed = StoreSnapshot::replay(&records);
+        assert_eq!(replayed, db.snapshot());
+        assert_eq!(replayed.commits(), db.commits());
+        assert_eq!(db.wal_retained_records(), 3);
+        // Raising the floor trims, and the dump falls back to a checkpoint.
+        db.set_wal_floor(Some(3));
+        assert_eq!(db.wal_retained_records(), 1);
+        assert_eq!(db.wal_records(), db.checkpoint());
+    }
+
+    #[test]
+    fn released_pin_forgets_its_base_state() {
+        let db = Database::new();
+        db.insert_device("dc01.pod00.sw00", vec![]).unwrap();
+        db.set_wal_floor(Some(0));
+        db.set_wal_floor(None);
+        db.insert_device("dc01.pod00.sw01", vec![]).unwrap();
+        assert_eq!(db.wal_records(), db.checkpoint());
+        assert_eq!(StoreSnapshot::replay(&db.wal_records()), db.snapshot());
+    }
+
+    #[test]
     fn wal_replay_reconstructs_state() {
         let db = seeded();
         db.set_attr(&pat("dc01.pod01.*"), "X", AttrValue::Int(9))
@@ -1287,6 +1403,7 @@ mod tests {
     fn concurrent_writers_do_not_lose_updates() {
         use std::sync::Arc;
         let db = Arc::new(Database::new());
+        db.set_wal_floor(Some(0));
         for i in 0..8 {
             db.insert_device(&format!("dc01.pod00.sw{i:02}"), vec![])
                 .unwrap();
@@ -1323,6 +1440,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let db = Arc::new(Database::new());
+        db.set_wal_floor(Some(0));
         for pod in 0..4 {
             db.insert_device(&format!("dc01.pod{pod:02}.sw00"), vec![])
                 .unwrap();

@@ -154,8 +154,10 @@ mod tests {
         }
     }
 
+    /// A seeded database that keeps its whole WAL, for replay checks.
     fn seeded() -> Database {
         let db = Database::new();
+        db.set_wal_floor(Some(0));
         for sw in 0..4 {
             db.insert_device(&format!("dc01.pod00.sw{sw:02}"), vec![])
                 .unwrap();

@@ -218,17 +218,20 @@ pub fn decode(text: &str) -> Result<Vec<WalRecord>, WalDecodeError> {
 }
 
 impl crate::db::Database {
-    /// Serializes the full WAL to the persistent text format.
+    /// Serializes [`Database::wal_records`](crate::db::Database::wal_records)
+    /// to the persistent text format: the WAL itself when it holds every
+    /// commit from 0, otherwise a checkpoint of the current state.
     pub fn dump_wal(&self) -> String {
         encode(&self.wal_records())
     }
 
-    /// Rebuilds a database from a serialized WAL: the recovered store is
-    /// the replay of all records, and the WAL continues from there.
+    /// Rebuilds a database from a serialized WAL or checkpoint: the
+    /// recovered store is the replay of all records, its commit count is
+    /// the one the dump carries, and new commits continue from there.
     pub fn recover(text: &str) -> Result<crate::db::Database, WalDecodeError> {
         let records = decode(text)?;
         let db = crate::db::Database::new();
-        db.install_recovered(records);
+        db.install_recovered(&records);
         Ok(db)
     }
 }

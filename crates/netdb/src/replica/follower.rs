@@ -183,29 +183,15 @@ impl Follower {
         self.leader_commits.store(0, Ordering::Release);
     }
 
-    /// Simulates a crash that loses the WAL suffix past the first `keep`
-    /// commits (a torn write on the follower's disk): the database is
-    /// rebuilt by replaying the surviving prefix. Only meaningful on
-    /// followers with full history (`wal_base_commits() == 0`).
-    pub fn truncate_to_commits(&self, keep: u64) -> Result<(), String> {
-        let db = self.db();
-        if db.wal_base_commits() != 0 {
-            return Err("cannot truncate a snapshot-bootstrapped follower".to_string());
-        }
-        let mut prefix = Vec::new();
-        let mut seen = 0u64;
-        for rec in db.wal_records() {
-            if seen >= keep {
-                break;
-            }
-            if matches!(rec, WalRecord::Commit { .. }) {
-                seen += 1;
-            }
-            prefix.push(rec);
-        }
-        let reg = db.obs().clone();
-        let fresh = Database::with_obs(&reg);
-        fresh.install_recovered(prefix);
+    /// Simulates a crash that loses everything past a dump taken
+    /// earlier (a torn write on the follower's disk): the database is
+    /// rebuilt from `dump` — a [`Database::dump_wal`] text, full WAL or
+    /// checkpoint — and resumes at the commit count it carries, so the
+    /// next shipping round re-sends the lost suffix.
+    pub fn recover_from(&self, dump: &str) -> Result<(), String> {
+        let records = crate::persist::decode(dump).map_err(|e| e.to_string())?;
+        let fresh = Database::with_obs(self.db().obs());
+        fresh.install_recovered(&records);
         *self.db.lock() = Arc::new(fresh);
         Ok(())
     }
@@ -214,6 +200,13 @@ impl Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A leader that keeps its whole WAL, so tests can ship real history.
+    fn pinned_leader() -> Database {
+        let db = Database::new();
+        db.set_wal_floor(Some(0));
+        db
+    }
 
     fn entries(db: &Database) -> Shipment {
         Shipment::Entries {
@@ -225,7 +218,7 @@ mod tests {
 
     #[test]
     fn ingest_applies_and_dedups() {
-        let leader = Database::new();
+        let leader = pinned_leader();
         leader.insert_device("dc01.pod00.sw00", vec![]).unwrap();
         leader.insert_device("dc01.pod00.sw01", vec![]).unwrap();
         let f = Follower::new(0, &Registry::new());
@@ -239,7 +232,7 @@ mod tests {
 
     #[test]
     fn ingest_rejects_gaps() {
-        let leader = Database::new();
+        let leader = pinned_leader();
         leader.insert_device("a", vec![]).unwrap();
         leader.insert_device("b", vec![]).unwrap();
         let f = Follower::new(0, &Registry::new());
@@ -257,7 +250,7 @@ mod tests {
 
     #[test]
     fn snapshot_bootstrap_rebases() {
-        let leader = Database::new();
+        let leader = pinned_leader();
         for i in 0..4 {
             leader.insert_device(&format!("d{i}"), vec![]).unwrap();
         }
@@ -286,7 +279,7 @@ mod tests {
 
     #[test]
     fn trailing_uncommitted_records_are_dropped() {
-        let leader = Database::new();
+        let leader = pinned_leader();
         leader.insert_device("a", vec![]).unwrap();
         let mut records = leader.wal_records();
         records.push(WalRecord::InsertDevice {

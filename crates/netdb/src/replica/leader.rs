@@ -1,10 +1,11 @@
 //! The leader's acknowledgement surface: which commits are durable on a
-//! quorum of followers.
+//! quorum of followers, and how much WAL the reachable followers still
+//! need.
 
 use super::ReplObs;
 use crate::db::Database;
 use parking_lot::{Condvar, Mutex};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -12,14 +13,41 @@ use std::time::{Duration, Instant};
 /// acknowledgement table that defines which commits are *acknowledged*
 /// (confirmed by at least `quorum` followers, hence guaranteed to survive
 /// a [`super::ReplicaSet::failover`]).
+///
+/// The same table bounds the leader's WAL: every change to it sets the
+/// leader database's retention floor to the minimum commit count the
+/// *reachable* followers confirmed, so the WAL holds exactly the suffix
+/// some reachable follower may still be shipped. An unreachable follower
+/// holds nothing back; when it returns below the floor it rejoins by
+/// snapshot.
 #[derive(Debug)]
 pub struct Leader {
     db: Arc<Database>,
     quorum: usize,
-    /// follower id → highest commit count that follower has confirmed.
-    acks: Mutex<BTreeMap<u32, u64>>,
+    acks: Mutex<AckTable>,
     acked_cv: Condvar,
     obs: ReplObs,
+}
+
+#[derive(Debug, Default)]
+struct AckTable {
+    /// follower id → highest commit count that follower has confirmed.
+    confirmed: BTreeMap<u32, u64>,
+    /// Followers the shipper cannot reach: their acks still count
+    /// toward the quorum, but they no longer hold the WAL floor down.
+    unreachable: BTreeSet<u32>,
+}
+
+impl AckTable {
+    /// The minimum confirmed commit over the reachable followers; `None`
+    /// when no follower is reachable.
+    fn floor(&self) -> Option<u64> {
+        self.confirmed
+            .iter()
+            .filter(|(id, _)| !self.unreachable.contains(id))
+            .map(|(_, &c)| c)
+            .min()
+    }
 }
 
 impl Leader {
@@ -29,7 +57,7 @@ impl Leader {
         Leader {
             db,
             quorum,
-            acks: Mutex::new(BTreeMap::new()),
+            acks: Mutex::new(AckTable::default()),
             acked_cv: Condvar::new(),
             obs,
         }
@@ -45,16 +73,35 @@ impl Leader {
         self.quorum
     }
 
-    /// Records that `follower` has confirmed its first `commits` commits.
-    /// Monotonic per follower; wakes any [`Leader::wait_acked`] callers.
+    /// Records that `follower`, which the shipper just reached, has
+    /// confirmed its first `commits` commits. Monotonic per follower;
+    /// moves the WAL floor and wakes any [`Leader::wait_acked`] callers.
     pub fn record_ack(&self, follower: u32, commits: u64) {
         let mut acks = self.acks.lock();
-        let slot = acks.entry(follower).or_insert(0);
-        if commits > *slot {
-            *slot = commits;
-            drop(acks);
+        acks.unreachable.remove(&follower);
+        let slot = acks.confirmed.entry(follower).or_insert(0);
+        let advanced = commits > *slot;
+        *slot = (*slot).max(commits);
+        self.db.set_wal_floor(acks.floor());
+        drop(acks);
+        if advanced {
             self.acked_cv.notify_all();
         }
+    }
+
+    /// Records that the shipper cannot reach `follower`: its confirmed
+    /// commits stop holding the WAL floor down until it acks again.
+    pub(crate) fn mark_unreachable(&self, follower: u32) {
+        let mut acks = self.acks.lock();
+        if acks.unreachable.insert(follower) {
+            self.db.set_wal_floor(acks.floor());
+        }
+    }
+
+    /// The minimum commit count the reachable followers confirmed — the
+    /// leader WAL's retention floor — or `None` when none is reachable.
+    pub fn reachable_min_ack(&self) -> Option<u64> {
+        self.acks.lock().floor()
     }
 
     /// The acknowledged commit count: the largest `n` such that at least
@@ -64,11 +111,11 @@ impl Leader {
         Self::acked_of(&self.acks.lock(), self.quorum)
     }
 
-    fn acked_of(acks: &BTreeMap<u32, u64>, quorum: usize) -> u64 {
-        if acks.len() < quorum {
+    fn acked_of(acks: &AckTable, quorum: usize) -> u64 {
+        if acks.confirmed.len() < quorum {
             return 0;
         }
-        let mut confirmed: Vec<u64> = acks.values().copied().collect();
+        let mut confirmed: Vec<u64> = acks.confirmed.values().copied().collect();
         confirmed.sort_unstable_by(|a, b| b.cmp(a));
         confirmed[quorum - 1]
     }

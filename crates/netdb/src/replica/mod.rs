@@ -17,16 +17,20 @@
 //! which the chaos phases assert with snapshot equality plus shard
 //! [`StoreSnapshot::self_check`].
 //!
-//! # Bootstrap and catch-up
+//! # Bootstrap, catch-up and WAL retention
 //!
-//! A follower behind by more history than the leader's WAL physically
-//! holds (possible after the leader itself snapshot-bootstrapped) is sent
-//! an O(shards) [`StoreSnapshot`] transfer — `Arc` bumps in-process,
-//! synthesized insert records over TCP (see [`tcp`]) — then rejoins the
+//! The leader's WAL is bounded by follower acks: every ack moves the
+//! leader database's retention floor to the minimum commit count the
+//! reachable followers confirmed ([`Leader::record_ack`]), so the log
+//! holds exactly the suffix a reachable follower may still need, and a
+//! partitioned follower holds nothing back. A follower behind the floor —
+//! a fresh one joining a seeded leader, a healed one, a crash-reset one —
+//! is sent an O(shards) [`StoreSnapshot`] transfer (`Arc` bumps
+//! in-process, a checkpoint over TCP, see [`tcp`]) and then rejoins the
 //! entry stream. Shipping is *ack-driven*: the shipper re-reads the
 //! follower's confirmed commit count every round, so a partitioned
-//! follower simply stops confirming and, once healed, receives the whole
-//! missing suffix with no shipper-side bookkeeping to corrupt.
+//! follower simply stops confirming and, once healed, receives whatever
+//! it is missing with no shipper-side bookkeeping to corrupt.
 //!
 //! # Durability and failover
 //!
@@ -219,8 +223,9 @@ fn ship_to(leader: &Leader, follower: &Follower, obs: &ReplObs) {
 impl ReplicaSet {
     /// Starts a replica set around an existing leader database, with the
     /// replication instruments bound to the leader's registry. Followers
-    /// bootstrap from scratch (the first shipping round sends them the
-    /// full WAL, or a snapshot if the leader is itself re-based).
+    /// bootstrap from scratch: the first shipping round sends them the
+    /// WAL if the leader still holds it from commit 0, a snapshot
+    /// otherwise.
     pub fn start(leader_db: Arc<Database>, cfg: ReplicaConfig) -> ReplicaSet {
         let registry = leader_db.obs().clone();
         let obs = ReplObs::bound(&registry);
@@ -257,6 +262,11 @@ impl ReplicaSet {
         registry: Registry,
         obs: ReplObs,
     ) -> ReplicaSet {
+        // Every follower holds the leader's WAL floor from the start, so
+        // the first round ships entries to each one that can use them.
+        for f in &followers {
+            leader.record_ack(f.id(), f.commits());
+        }
         let stop = Arc::new(AtomicBool::new(false));
         let shipper = {
             let leader = Arc::clone(&leader);
@@ -269,6 +279,7 @@ impl ReplicaSet {
                 while !stop.load(Ordering::Acquire) {
                     for (f, link) in followers.iter().zip(&links) {
                         if link.partitioned.load(Ordering::Acquire) {
+                            leader.mark_unreachable(f.id());
                             continue;
                         }
                         ship_to(&leader, f, &obs);
@@ -331,18 +342,21 @@ impl ReplicaSet {
         ))
     }
 
-    /// Blocks until every non-partitioned follower has confirmed every
-    /// leader commit, or `timeout` elapses. Returns whether convergence
-    /// was reached.
+    /// Blocks until every non-partitioned follower's *published* state
+    /// holds every commit of the leader's published state, or `timeout`
+    /// elapses. Returns whether convergence was reached. Published counts,
+    /// not WAL counts: a follower appends a commit to its WAL before it
+    /// publishes the state holding it, so a WAL count can run ahead of
+    /// what [`Follower::snapshot`] returns. With the leader quiescent, a
+    /// `true` return means every reachable follower's snapshot equals the
+    /// leader's.
     pub fn wait_converged(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let target = self.leader.db().commits();
-            let behind = self
-                .followers
-                .iter()
-                .zip(&self.links)
-                .any(|(f, l)| !l.partitioned.load(Ordering::Acquire) && f.commits() < target);
+            let target = self.leader.db().snapshot().commits();
+            let behind = self.followers.iter().zip(&self.links).any(|(f, l)| {
+                !l.partitioned.load(Ordering::Acquire) && f.snapshot().commits() < target
+            });
             if !behind {
                 return true;
             }
@@ -353,10 +367,13 @@ impl ReplicaSet {
         }
     }
 
+    /// Stops the shipper and releases the leader's WAL floor: with no
+    /// followers to ship to, the leader keeps no history.
     fn stop_shipper(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.shipper.take() {
             let _ = h.join();
+            self.leader.db().set_wal_floor(None);
         }
     }
 
@@ -461,10 +478,7 @@ impl ReplicaSet {
 
 impl Drop for ReplicaSet {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.shipper.take() {
-            let _ = h.join();
-        }
+        self.stop_shipper();
     }
 }
 
@@ -563,5 +577,114 @@ mod tests {
             assert!(f.db().device_exists("dc01.pod00.post0").unwrap());
         }
         set.shutdown();
+    }
+
+    #[test]
+    fn wait_converged_implies_identical_published_snapshots() {
+        let leader = Arc::new(Database::new());
+        write_n(&leader, 4, "seed");
+        let set = ReplicaSet::start(
+            Arc::clone(&leader),
+            ReplicaConfig {
+                followers: 3,
+                ..ReplicaConfig::default()
+            },
+        );
+        for round in 0..150usize {
+            // Bursts of varying size, some as one wide batch so a
+            // follower's apply takes long enough to race the check.
+            if round % 3 == 0 {
+                let ops: Vec<crate::db::WriteOp> = (0..32)
+                    .map(|i| crate::db::WriteOp::InsertDevice {
+                        name: format!("dc01.pod{:02}.r{round:03}x{i:02}", i % 8),
+                        attrs: vec![("R".into(), AttrValue::Int(round as i64))],
+                    })
+                    .collect();
+                leader.batch(&ops).unwrap();
+            } else {
+                write_n(&leader, round % 4 + 1, &format!("r{round:03}x"));
+            }
+            assert!(set.wait_converged(Duration::from_secs(10)), "round {round}");
+            let want = leader.snapshot();
+            for f in set.followers() {
+                let got = f.snapshot();
+                assert_eq!(got.commits(), want.commits(), "round {round}");
+                check_identical(&got, &want).unwrap();
+            }
+        }
+        set.shutdown();
+    }
+
+    #[test]
+    fn leader_wal_is_bounded_by_reachable_follower_acks() {
+        let leader = Arc::new(Database::new());
+        write_n(&leader, 6, "seed");
+        assert_eq!(leader.wal_retained_records(), 0, "no replica set, no WAL");
+        let set = ReplicaSet::start(Arc::clone(&leader), ReplicaConfig::default());
+        let snapshots = || leader.obs().counter_value("netdb.repl.ship.snapshots");
+        // Every commit below is one record, so "records committed since
+        // the minimum ack" is a commit difference.
+        let check_bound = |when: &str| {
+            let min_ack = set.leader().reachable_min_ack();
+            let retained = leader.wal_retained_records() as u64;
+            let since = leader.commits() - min_ack.unwrap_or(leader.commits());
+            assert!(
+                retained <= since,
+                "{when}: {retained} records retained, {since} committed since min ack {min_ack:?}"
+            );
+        };
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+
+        for i in 0..60 {
+            write_n(&leader, 1, &format!("a{i:02}x"));
+            check_bound("steady");
+        }
+        assert!(set.wait_converged(Duration::from_secs(10)));
+        wait_for("steady trim", &|| leader.wal_retained_records() == 0);
+
+        // A partitioned follower holds nothing back: once the healthy
+        // follower acks, retention drains to zero although follower 0
+        // is far behind.
+        set.set_partitioned(0, true);
+        for i in 0..60 {
+            write_n(&leader, 1, &format!("b{i:02}x"));
+            check_bound("partitioned");
+        }
+        assert!(set.wait_converged(Duration::from_secs(10)));
+        wait_for("partitioned trim", &|| leader.wal_retained_records() == 0);
+        assert!(set.followers()[0].commits() < leader.commits());
+        assert!(leader.wal_base_commits() > set.followers()[0].commits());
+        assert_eq!(
+            leader
+                .obs()
+                .gauges()
+                .iter()
+                .find(|(n, _)| n == "netdb.wal.retained_records"),
+            Some(&("netdb.wal.retained_records".to_string(), 0))
+        );
+
+        // On heal it is behind the floor, so it rejoins by snapshot and
+        // ends byte-identical.
+        let before = snapshots();
+        set.set_partitioned(0, false);
+        assert!(set.wait_converged(Duration::from_secs(10)));
+        assert!(snapshots() > before, "rejoin must go through a snapshot");
+        for f in set.followers() {
+            check_identical(&f.snapshot(), &leader.snapshot()).unwrap();
+            assert_eq!(f.db().checkpoint(), leader.checkpoint());
+        }
+        check_bound("healed");
+        set.shutdown();
+        assert_eq!(
+            leader.wal_retained_records(),
+            0,
+            "shutdown releases the floor"
+        );
     }
 }

@@ -118,6 +118,7 @@ mod tests {
     fn routes_to_caught_up_follower_round_robin() {
         let reg = Registry::new();
         let leader = Arc::new(Database::with_obs(&reg));
+        leader.set_wal_floor(Some(0));
         leader.insert_device("d0", vec![]).unwrap();
         let followers = vec![
             synced_follower(0, &leader, &reg),
@@ -136,6 +137,7 @@ mod tests {
     fn stale_followers_fall_back_to_leader() {
         let reg = Registry::new();
         let leader = Arc::new(Database::with_obs(&reg));
+        leader.set_wal_floor(Some(0));
         leader.insert_device("d0", vec![]).unwrap();
         let followers = vec![synced_follower(0, &leader, &reg)];
         // New commits the follower never sees.
@@ -153,6 +155,7 @@ mod tests {
     fn lag_within_bound_still_served_by_follower() {
         let reg = Registry::new();
         let leader = Arc::new(Database::with_obs(&reg));
+        leader.set_wal_floor(Some(0));
         leader.insert_device("d0", vec![]).unwrap();
         let followers = vec![synced_follower(0, &leader, &reg)];
         leader.insert_device("d1", vec![]).unwrap();

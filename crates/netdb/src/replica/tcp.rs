@@ -13,44 +13,12 @@ use super::follower::{Follower, Shipment};
 use super::msg::{read_msg, write_msg, ReplMsg};
 use crate::db::Database;
 use crate::shard::StoreSnapshot;
-use crate::wal::WalRecord;
 use parking_lot::Mutex;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Synthesizes records that, replayed from empty, rebuild `snap` — the
-/// wire form of a snapshot transfer. Deterministic: devices first (name
-/// order), then links (key order), so two syntheses of equal snapshots
-/// are byte-identical on the wire.
-pub fn synthesize_snapshot_records(snap: &StoreSnapshot) -> Vec<WalRecord> {
-    let store = snap.materialize();
-    let mut out = Vec::with_capacity(store.devices.len() + store.links.len());
-    for (name, dev) in &store.devices {
-        out.push(WalRecord::InsertDevice {
-            name: name.clone(),
-            attrs: dev
-                .attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        });
-    }
-    for ((a, z), link) in &store.links {
-        out.push(WalRecord::InsertLink {
-            a_end: a.clone(),
-            z_end: z.clone(),
-            attrs: link
-                .attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        });
-    }
-    out
-}
 
 /// A TCP server exposing one [`Follower`] to a remote leader.
 ///
@@ -243,7 +211,7 @@ impl TcpShipper {
                 let (snap, base_commits) = db.snapshot_with_commits();
                 ReplMsg::Snapshot {
                     base_commits,
-                    records: synthesize_snapshot_records(&snap),
+                    records: snap.checkpoint(),
                 }
             }
             Some((first_seq, records)) if !records.is_empty() => {
@@ -286,13 +254,17 @@ mod tests {
 
     #[test]
     fn tcp_suffix_shipping_converges_byte_identically() {
+        // Both ends keep their whole WAL, so the suffix path (not a
+        // snapshot) carries every commit and the logs compare equal.
         let leader = Database::new();
+        leader.set_wal_floor(Some(0));
         for i in 0..12 {
             leader
                 .insert_device(&format!("dc01.pod00.sw{i:02}"), vec![])
                 .unwrap();
         }
         let follower = Arc::new(Follower::new(7, &Registry::new()));
+        follower.db().set_wal_floor(Some(0));
         let server = FollowerServer::start(Arc::clone(&follower), "127.0.0.1:0").unwrap();
         let mut shipper = TcpShipper::connect(&server.local_addr()).unwrap();
         assert_eq!(shipper.follower(), 7);
@@ -303,6 +275,7 @@ mod tests {
         leader.insert_device("dc01.pod00.sw99", vec![]).unwrap();
         assert_eq!(shipper.sync_to(&leader).unwrap(), 13);
         assert_eq!(follower.snapshot(), leader.snapshot());
+        assert_eq!(follower.db().dump_wal(), leader.dump_wal());
         server.shutdown();
     }
 

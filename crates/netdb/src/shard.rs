@@ -317,6 +317,26 @@ impl StoreState {
             WalRecord::Commit { .. } => {}
         }
     }
+
+    /// [`StoreState::apply`] for a record the caller gives up: row data
+    /// moves into the store instead of being cloned.
+    pub fn apply_owned(&mut self, rec: WalRecord) {
+        match rec {
+            WalRecord::InsertDevice { name, attrs } => {
+                let shard = self.shard_mut(shard_of(&name));
+                let dev = Arc::make_mut(shard.devices.entry(name).or_default());
+                dev.attrs.extend(attrs);
+            }
+            WalRecord::SetDeviceAttr { name, attr, value } => {
+                let si = shard_of(&name);
+                if self.shards[si].devices.contains_key(&name) {
+                    let dev = self.shard_mut(si).devices.get_mut(&name).expect("checked");
+                    Arc::make_mut(dev).attrs.insert(attr, value);
+                }
+            }
+            other => self.apply(&other),
+        }
+    }
 }
 
 impl Default for StoreState {
@@ -364,16 +384,20 @@ impl StoreSnapshot {
     /// `Commit` marker seals one batch, bumping the versions of the
     /// shards that batch dirtied and advancing the commit counter, so a
     /// replay of a database's WAL reproduces its published shard-version
-    /// vector exactly. Trailing records after the last `Commit` (a torn
-    /// tail, or a plain record list with no markers) still bump the
-    /// versions of the shards they touch, but not the commit counter.
+    /// vector exactly. A marker's sequence is honoured, so a
+    /// [checkpoint](StoreSnapshot::checkpoint) — one batch sealed by the
+    /// marker of its last commit — replays to its full commit count.
+    /// Trailing records after the last `Commit` (a torn tail, or a plain
+    /// record list with no markers) still bump the versions of the shards
+    /// they touch, but not the commit counter.
     pub fn replay(records: &[WalRecord]) -> StoreSnapshot {
         let mut state = StoreState::new();
         let mut base = state.clone();
         for r in records {
             state.apply(r);
-            if matches!(r, WalRecord::Commit { .. }) {
+            if let WalRecord::Commit { seq } = r {
                 state.finalize(&base);
+                state.commits = state.commits.max(seq + 1);
                 base = state.clone();
             }
         }
@@ -416,6 +440,49 @@ impl StoreSnapshot {
     /// read served from it can be placed exactly in the commit order.
     pub fn commits(&self) -> u64 {
         self.state.commits
+    }
+
+    /// The snapshot as a checkpoint: one insert per device (name order),
+    /// then one per link (key order), sealed by the `Commit` marker of
+    /// the last commit the snapshot holds. Replaying it from empty
+    /// rebuilds this snapshot and its commit count; equal snapshots give
+    /// equal checkpoints. An empty history gives no records at all.
+    pub fn checkpoint(&self) -> Vec<WalRecord> {
+        let mut devices: Vec<(&String, &Arc<DeviceRecord>)> = self
+            .state
+            .shards
+            .iter()
+            .flat_map(|s| s.devices.iter())
+            .collect();
+        devices.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut links: Vec<(&LinkKey, &Arc<LinkRecord>)> = self
+            .state
+            .shards
+            .iter()
+            .flat_map(|s| s.links.iter())
+            .collect();
+        links.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let attrs = |m: &BTreeMap<String, AttrValue>| {
+            m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        };
+        let mut out = Vec::with_capacity(devices.len() + links.len() + 1);
+        for (name, dev) in devices {
+            out.push(WalRecord::InsertDevice {
+                name: name.clone(),
+                attrs: attrs(&dev.attrs),
+            });
+        }
+        for ((a, z), link) in links {
+            out.push(WalRecord::InsertLink {
+                a_end: a.clone(),
+                z_end: z.clone(),
+                attrs: attrs(&link.attrs),
+            });
+        }
+        if let Some(seq) = self.commits().checked_sub(1) {
+            out.push(WalRecord::Commit { seq });
+        }
+        out
     }
 
     /// The per-shard monotonic version vector ([`NUM_SHARDS`] entries):
@@ -502,6 +569,16 @@ impl StoreSnapshot {
             .devices
             .get(name)
             .map(|d| d.attrs.clone())
+    }
+
+    /// One attribute of one device: a point lookup in the device's home
+    /// shard, with no scope walk and no clone.
+    pub fn device_attr(&self, name: &str, attr: &str) -> Option<&AttrValue> {
+        self.state.shards[shard_of(name)]
+            .devices
+            .get(name)?
+            .attrs
+            .get(attr)
     }
 
     /// Keys of the links with at least one endpoint matching `scope`,

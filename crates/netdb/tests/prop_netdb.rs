@@ -46,11 +46,18 @@ proptest! {
     #[test]
     fn wal_replay_equals_snapshot(ops in proptest::collection::vec(arb_op(), 0..60)) {
         let db = Database::new();
+        db.set_wal_floor(Some(0)); // replay real history, not a checkpoint
+        // A database that keeps no WAL moves records into the store
+        // instead of cloning them; it must reach the same state.
+        let unlogged = Database::new();
         for op in ops {
             // Failures are fine; they must not commit partial state.
             let _ = db.batch(std::slice::from_ref(&op));
+            let _ = unlogged.batch(std::slice::from_ref(&op));
         }
         prop_assert_eq!(Store::replay(&db.wal_records()), db.snapshot());
+        prop_assert_eq!(unlogged.snapshot(), db.snapshot());
+        prop_assert_eq!(unlogged.snapshot().shard_versions(), db.snapshot().shard_versions());
     }
 
     /// A failed batch leaves the store byte-identical.
@@ -89,10 +96,12 @@ proptest! {
     }
 
     /// WAL text serialization round-trips and recovery rebuilds the exact
-    /// store, for any random workload.
+    /// store and commit count, for any random workload — from the full
+    /// history and from a checkpoint alike.
     #[test]
     fn wal_persistence_round_trip(ops in proptest::collection::vec(arb_op(), 0..50)) {
         let db = Database::new();
+        db.set_wal_floor(Some(0)); // dump real history first
         for op in ops {
             let _ = db.batch(std::slice::from_ref(&op));
         }
@@ -102,8 +111,23 @@ proptest! {
         let recovered = Database::recover(&text).unwrap();
         prop_assert_eq!(recovered.snapshot(), db.snapshot());
         prop_assert_eq!(recovered.commits(), db.commits());
-        // A second dump of the recovered database is byte-identical.
-        prop_assert_eq!(recovered.dump_wal(), text);
+        prop_assert_eq!(
+            recovered.snapshot().shard_versions(),
+            db.snapshot().shard_versions()
+        );
+
+        // Releasing the floor turns the dump into a checkpoint, which
+        // recovers to the same store and commit count.
+        db.set_wal_floor(None);
+        let checkpoint = db.dump_wal();
+        prop_assert_eq!(decode_wal(&checkpoint).unwrap(), db.checkpoint());
+        let restored = Database::recover(&checkpoint).unwrap();
+        prop_assert_eq!(restored.snapshot(), db.snapshot());
+        prop_assert_eq!(restored.commits(), db.commits());
+        // A second dump of either recovered database is byte-identical
+        // to the checkpoint.
+        prop_assert_eq!(recovered.dump_wal(), checkpoint.clone());
+        prop_assert_eq!(restored.dump_wal(), checkpoint);
     }
 
     /// Scoped attribute writes touch exactly the matching devices.

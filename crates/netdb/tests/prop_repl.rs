@@ -9,11 +9,15 @@
 //! are deduplicated by commit sequence, and the follower converges to a
 //! byte-identical replica of the leader — same snapshot, same WAL text.
 //!
-//! The regression tests cover follower rejoin after a *truncated* local
-//! log (a torn follower shutdown): catch-up from the surviving prefix
-//! must converge without a snapshot transfer, and a truncation below a
-//! snapshot-bootstrapped base must be rejected rather than silently
-//! inventing history.
+//! The regression tests cover follower rejoin after a *torn* local log
+//! (a crash that loses everything past a checkpoint the follower dumped
+//! at commit k): catch-up from the checkpoint must converge without a
+//! snapshot transfer, for followers that replayed history and for
+//! snapshot-bootstrapped ones alike.
+//!
+//! Shipping real history needs a leader that keeps it, so every leader
+//! here pins its WAL retention floor at 0 — the call a replica set's
+//! shipper makes with its followers' acks.
 
 use occam_netdb::{check_identical, AttrValue, Database, Follower, Shipment};
 use occam_obs::Registry;
@@ -66,6 +70,13 @@ fn apply(db: &Database, op: &Op) {
     }
 }
 
+/// A leader that keeps its whole WAL.
+fn pinned_db() -> Database {
+    let db = Database::new();
+    db.set_wal_floor(Some(0));
+    db
+}
+
 /// Ships the leader's entire WAL to `f` as one `Entries` batch starting
 /// from commit 0 — the follower's sequence-number dedup must skip what it
 /// already holds and apply exactly the missing suffix.
@@ -85,7 +96,7 @@ proptest! {
     /// store, and the full log replays to the leader's exact state.
     #[test]
     fn every_shipped_prefix_is_valid(ops in proptest::collection::vec(arb_op(), 1..40)) {
-        let leader = Database::new();
+        let leader = pinned_db();
         for op in &ops {
             apply(&leader, op);
         }
@@ -103,8 +114,9 @@ proptest! {
     /// is idempotent (sequence-number dedup).
     #[test]
     fn incremental_shipping_converges_and_dedups(ops in proptest::collection::vec(arb_op(), 1..30)) {
-        let leader = Database::new();
+        let leader = pinned_db();
         let f = Follower::new(0, &Registry::new());
+        f.db().set_wal_floor(Some(0));
         for op in &ops {
             apply(&leader, op);
             ship_full_log(&leader, &f);
@@ -117,38 +129,45 @@ proptest! {
         prop_assert_eq!(f.db().dump_wal(), leader.dump_wal());
     }
 
-    /// A follower that loses a suffix of its log (torn shutdown) and
-    /// rejoins catches back up from its surviving prefix and converges
-    /// byte-identically — the follower-rejoin-after-truncation contract.
+    /// A follower that loses everything past a checkpoint it dumped at
+    /// commit `keep` (torn shutdown) and rejoins catches back up from the
+    /// checkpoint and converges byte-identically — the
+    /// follower-rejoin-after-truncation contract.
     #[test]
     fn truncated_follower_rejoins_and_converges(
         ops in proptest::collection::vec(arb_op(), 2..30),
         keep_pct in 0u64..100,
     ) {
-        let leader = Database::new();
+        let leader = pinned_db();
         let f = Follower::new(0, &Registry::new());
+        // dumps[k]: the follower's own dump at commit k.
+        let mut dumps = vec![f.db().dump_wal()];
         for op in &ops {
             apply(&leader, op);
+            ship_full_log(&leader, &f);
+            if f.commits() as usize == dumps.len() {
+                dumps.push(f.db().dump_wal());
+            }
         }
-        ship_full_log(&leader, &f);
         let total = f.commits();
+        prop_assert_eq!(dumps.len() as u64, total + 1);
         let keep = total * keep_pct / 100;
-        f.truncate_to_commits(keep).expect("truncate surviving prefix");
+        f.recover_from(&dumps[keep as usize]).expect("recover from checkpoint");
         prop_assert_eq!(f.commits(), keep);
         prop_assert!(f.snapshot().self_check().is_ok(), "truncated state must be valid");
         ship_full_log(&leader, &f);
         prop_assert_eq!(f.commits(), total);
         prop_assert!(check_identical(&f.snapshot(), &leader.snapshot()).is_ok());
-        prop_assert_eq!(f.db().dump_wal(), leader.dump_wal());
+        prop_assert_eq!(f.db().checkpoint(), leader.checkpoint());
     }
 }
 
-/// Truncation is only meaningful for a follower that holds its history
-/// from commit 0; a snapshot-bootstrapped replica has no prefix to keep
-/// and must refuse instead of fabricating one.
+/// A snapshot-bootstrapped follower holds no history at all, yet still
+/// recovers from a checkpoint it dumped and rejoins the entry stream at
+/// the checkpoint's commit count.
 #[test]
-fn truncation_below_snapshot_base_is_rejected() {
-    let origin = Database::new();
+fn snapshot_bootstrapped_follower_recovers_from_its_checkpoint() {
+    let origin = pinned_db();
     for i in 0..5 {
         origin
             .insert_device(&format!("dc01.pod00.sw{i:02}"), vec![])
@@ -162,27 +181,39 @@ fn truncation_below_snapshot_base_is_rejected() {
     })
     .unwrap();
     assert_eq!(f.commits(), 5);
-    assert!(
-        f.truncate_to_commits(2).is_err(),
-        "snapshot-bootstrapped follower cannot truncate below its base"
-    );
+    let at_five = f.db().dump_wal();
+    let snap_at_five = f.snapshot();
+    origin.insert_device("dc01.pod00.sw90", vec![]).unwrap();
+    origin.delete_device("dc01.pod00.sw01").unwrap();
+    ship_full_log(&origin, &f);
+    assert_eq!(f.commits(), 7);
+
+    f.recover_from(&at_five).unwrap();
+    assert_eq!(f.commits(), 5);
+    assert_eq!(f.snapshot(), snap_at_five);
+    ship_full_log(&origin, &f);
+    assert_eq!(f.commits(), 7);
+    check_identical(&f.snapshot(), &origin.snapshot()).unwrap();
+    assert_eq!(f.db().checkpoint(), origin.checkpoint());
 }
 
 /// A crash-reset follower (total state loss) re-bootstraps from a full
 /// log ship and ends byte-identical — rejoin without surviving state.
 #[test]
 fn crash_reset_follower_rebootstraps_from_log() {
-    let leader = Database::new();
+    let leader = pinned_db();
     for i in 0..8 {
         leader
             .insert_device(&format!("dc01.pod01.sw{i:02}"), vec![])
             .unwrap();
     }
     let f = Follower::new(1, &Registry::new());
+    f.db().set_wal_floor(Some(0));
     ship_full_log(&leader, &f);
     assert_eq!(f.commits(), 8);
     f.crash_reset();
     assert_eq!(f.commits(), 0);
+    f.db().set_wal_floor(Some(0));
     ship_full_log(&leader, &f);
     assert_eq!(f.commits(), 8);
     check_identical(&f.snapshot(), &leader.snapshot()).unwrap();

@@ -132,6 +132,7 @@ proptest! {
         recs_b in proptest::collection::vec(arb_record(), 1..30),
     ) {
         let db = Database::new();
+        db.set_wal_floor(Some(0)); // replay real history, not a checkpoint
         // Drive through raw-record batches via install_recovered-free path:
         // batch() validates, so route records through replay comparison
         // instead — commit each record that validates as a WriteOp-free
@@ -187,6 +188,7 @@ fn snapshot_immutable_and_consistent_under_writers() {
     use std::sync::Arc;
 
     let db = Arc::new(Database::new());
+    db.set_wal_floor(Some(0)); // replay real history, not a checkpoint
     let pods = 4usize;
     for pod in 0..pods {
         for sw in 0..4 {

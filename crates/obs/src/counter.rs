@@ -35,9 +35,37 @@ impl Counter {
     }
 }
 
+/// A lock-free instantaneous value (a level, not a running total): the
+/// owner [`Gauge::set`]s it whenever the measured quantity changes.
+#[derive(Clone, Debug, Default)]
+pub struct Gauge {
+    cell: Arc<AtomicU64>,
+}
+
+impl Gauge {
+    /// Sets the current value.
+    pub fn set(&self, v: u64) {
+        self.cell.store(v, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.cell.load(Ordering::Relaxed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gauge_holds_the_last_value() {
+        let g = Gauge::default();
+        let g2 = g.clone();
+        g.set(7);
+        g2.set(3);
+        assert_eq!(g.get(), 3);
+    }
 
     #[test]
     fn clones_share_state() {

@@ -54,7 +54,7 @@ mod registry;
 mod ring;
 mod span;
 
-pub use counter::Counter;
+pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::Registry;
 pub use ring::{Event, EventKind, EventRing};

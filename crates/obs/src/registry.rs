@@ -1,13 +1,13 @@
 //! Named instrument registry with hand-written TSV/JSON export.
 
-use crate::{json_escape, Counter, EventRing, Histogram, HistogramSnapshot};
+use crate::{json_escape, Counter, EventRing, Gauge, Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// A named, get-or-create collection of [`Counter`]s and [`Histogram`]s
-/// plus one shared [`EventRing`].
+/// A named, get-or-create collection of [`Counter`]s, [`Gauge`]s and
+/// [`Histogram`]s plus one shared [`EventRing`].
 ///
 /// Cloning is cheap (`Arc`) and shares every instrument, so a single
 /// registry threads through a whole runtime or simulation run: components
@@ -26,6 +26,7 @@ pub struct Registry {
 #[derive(Debug, Default)]
 struct Inner {
     counters: Mutex<BTreeMap<String, Counter>>,
+    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     events: EventRing,
 }
@@ -41,6 +42,7 @@ impl Registry {
         Registry {
             inner: Arc::new(Inner {
                 counters: Mutex::new(BTreeMap::new()),
+                gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 events: EventRing::with_capacity(cap),
             }),
@@ -50,6 +52,12 @@ impl Registry {
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
         let mut m = self.inner.counters.lock();
+        m.entry(name.to_string()).or_default().clone()
+    }
+
+    /// The gauge named `name`, created at zero on first use.
+    pub fn gauge(&self, name: &str) -> Gauge {
+        let mut m = self.inner.gauges.lock();
         m.entry(name.to_string()).or_default().clone()
     }
 
@@ -93,6 +101,16 @@ impl Registry {
             .collect()
     }
 
+    /// All gauges as sorted `(name, value)` pairs.
+    pub fn gauges(&self) -> Vec<(String, u64)> {
+        self.inner
+            .gauges
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect()
+    }
+
     /// All histograms as sorted `(name, snapshot)` pairs.
     pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         self.inner
@@ -104,12 +122,16 @@ impl Registry {
     }
 
     /// Exports every instrument as TSV. Counter rows are
-    /// `counter \t name \t value`; histogram rows are
+    /// `counter \t name \t value`, gauge rows `gauge \t name \t value`;
+    /// histogram rows are
     /// `histogram \t name \t count \t sum \t min \t max \t mean \t p50 \t p90 \t p99`.
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         for (name, v) in self.counters() {
             let _ = writeln!(out, "counter\t{name}\t{v}");
+        }
+        for (name, v) in self.gauges() {
+            let _ = writeln!(out, "gauge\t{name}\t{v}");
         }
         for (name, h) in self.histograms() {
             let _ = writeln!(
@@ -129,11 +151,19 @@ impl Registry {
     }
 
     /// Exports every instrument as one JSON object:
-    /// `{"counters": {..}, "histograms": {name: {count, sum, min, max,
-    /// mean, p50, p90, p99}}, "events": {capacity, recorded, dropped}}`.
+    /// `{"counters": {..}, "gauges": {..}, "histograms": {name: {count,
+    /// sum, min, max, mean, p50, p90, p99}}, "events": {capacity,
+    /// recorded, dropped}}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{}\":{v}", json_escape(name));
+        }
+        out.push_str("},\"gauges\":{");
+        for (i, (name, v)) in self.gauges().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }

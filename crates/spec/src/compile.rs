@@ -32,7 +32,7 @@ use occam_emunet::FuncArgs;
 use occam_netdb::{attrs, ComplianceReport, WalRecord};
 use occam_obs::EventKind;
 use occam_regex::Pattern;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 
 /// A built management program, ready for the runtime. `Fn` (not
@@ -234,9 +234,11 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
         UpdateObs,
     };
 
-    let scope = Pattern::from_glob(&spec.scope)
-        .map_err(|e| TaskError::Failed(format!("bad scope glob `{}`: {e}", spec.scope)))?;
     let rt = ctx.runtime();
+    let scope = rt
+        .pattern_cache()
+        .get_glob(&spec.scope)
+        .map_err(|e| TaskError::Failed(format!("bad scope glob `{}`: {e}", spec.scope)))?;
     let obs = UpdateObs::bind(rt.obs());
 
     // Build the target snapshot as an overlay over the live base: only
@@ -288,7 +290,7 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
             let net = net.lock();
             let waypoint =
                 match &spec.waypoint {
-                    Some(glob) => Some(Pattern::from_glob(glob).map_err(|e| {
+                    Some(glob) => Some(rt.pattern_cache().get_glob(glob).map_err(|e| {
                         TaskError::Failed(format!("bad waypoint glob `{glob}`: {e}"))
                     })?),
                     None => net.middlebox.and_then(|mb| {
@@ -312,19 +314,10 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
         None => (occam_topology::Topology::new(), Vec::new()),
     };
 
-    // Devices already drained in the current config start drained in the
-    // model, so the planner never undrains something it did not drain
-    // itself.
-    let mut base = ModelState::default();
-    for (name, status) in old.get_attr(&Pattern::universe(), attrs::DEVICE_STATUS) {
-        let drained = status.as_str() == Some(attrs::STATUS_DRAINED)
-            || status.as_str() == Some(attrs::STATUS_UNDER_MAINTENANCE);
-        if drained {
-            if let Some(id) = topo.device_by_name(&name) {
-                base.drained.insert(id);
-            }
-        }
-    }
+    let base = ModelState {
+        drained: model_drained(old.snapshot(), &topo),
+        ..ModelState::default()
+    };
 
     let plan = Synthesizer::new(&topo, &classes)
         .with_base(base)
@@ -348,6 +341,27 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
         )));
     }
     Ok(())
+}
+
+/// The devices a planned update's model starts drained: topology devices
+/// whose DB status is drained or under maintenance, so the planner never
+/// undrains something it did not drain itself. Only topology devices can
+/// enter the model, so this costs one point lookup per topology device,
+/// not a scan of the whole DB.
+fn model_drained(
+    snap: &occam_netdb::StoreSnapshot,
+    topo: &occam_topology::Topology,
+) -> HashSet<occam_topology::DeviceId> {
+    topo.devices()
+        .filter(|(_, device)| {
+            matches!(
+                snap.device_attr(&device.name, attrs::DEVICE_STATUS)
+                    .and_then(|s| s.as_str()),
+                Some(attrs::STATUS_DRAINED | attrs::STATUS_UNDER_MAINTENANCE)
+            )
+        })
+        .map(|(id, _)| id)
+        .collect()
 }
 
 /// Parses, validates, and compiles spec source text in one call (the
@@ -456,6 +470,69 @@ mod tests {
             .to_string()
             .contains("missing parameter `version`"));
         assert_eq!(rt.obs().counter_value("spec.rejected"), 1);
+    }
+
+    #[test]
+    fn planned_update_model_starts_from_drained_topology_devices_only() {
+        let (rt, ft) = harness();
+        let drained_switch = ft.aggs[1][0];
+        let drained_name = ft.topo.device(drained_switch).name.clone();
+        let set_status = |name: &str, status: &str| occam_netdb::WriteOp::SetDeviceAttr {
+            name: name.into(),
+            attr: attrs::DEVICE_STATUS.into(),
+            value: status.into(),
+        };
+        // One drained fabric switch, plus drained devices the topology
+        // does not know (DB-only pods and a stray name).
+        rt.db()
+            .batch(&[set_status(&drained_name, attrs::STATUS_DRAINED)])
+            .unwrap();
+        for (name, status) in [
+            ("dc02.pod00.sw00", attrs::STATUS_DRAINED),
+            ("dc02.pod01.sw00", attrs::STATUS_UNDER_MAINTENANCE),
+            ("stray", attrs::STATUS_DRAINED),
+        ] {
+            rt.db()
+                .insert_device(name, vec![(attrs::DEVICE_STATUS.into(), status.into())])
+                .unwrap();
+        }
+
+        // The point-lookup set equals the whole-DB scan it replaces.
+        let snap = rt.db().snapshot();
+        let scanned: HashSet<occam_topology::DeviceId> = snap
+            .get_attr(&Pattern::universe(), attrs::DEVICE_STATUS)
+            .into_iter()
+            .filter(|(_, v)| {
+                matches!(
+                    v.as_str(),
+                    Some(attrs::STATUS_DRAINED | attrs::STATUS_UNDER_MAINTENANCE)
+                )
+            })
+            .filter_map(|(name, _)| ft.topo.device_by_name(&name))
+            .collect();
+        let drained = model_drained(&snap, &ft.topo);
+        assert_eq!(drained, scanned);
+        assert_eq!(drained, [drained_switch].into_iter().collect());
+
+        // A planned update over another pod leaves the drained switch
+        // drained: the planner never undrains what it did not drain.
+        let compiled = compile_source(
+            "spec cfg {\n scope dc01.pod00.agg*\n strategy waves\n target config g9\n}\n",
+        )
+        .unwrap();
+        let prog = compiled.program();
+        let report = rt.task("cfg").run(|ctx| prog(ctx));
+        assert_eq!(report.state, TaskState::Completed, "{:?}", report.error);
+        let snap = rt.db().snapshot();
+        assert_eq!(
+            snap.device_attr(&drained_name, attrs::DEVICE_STATUS)
+                .and_then(|v| v.as_str()),
+            Some(attrs::STATUS_DRAINED)
+        );
+        let scope = Pattern::from_glob("dc01.pod00.agg*").unwrap();
+        let generations = snap.get_attr(&scope, CONFIG_VERSION);
+        assert!(!generations.is_empty());
+        assert!(generations.values().all(|v| v.as_str() == Some("g9")));
     }
 
     fn harness() -> (occam_core::Runtime, occam_topology::FatTree) {

@@ -42,7 +42,10 @@ fn semantic(spec: &Spec) -> Result<(), SpecError> {
     if spec.scope.is_empty() {
         return Err(SpecError::general("spec declares no `scope`"));
     }
-    occam_regex::Pattern::from_glob(&spec.scope)
+    // Syntax only: `Pattern::from_glob` fails exactly when this parse
+    // does, and the running task takes its automaton from the runtime
+    // pattern cache, so building a DFA here would be thrown away.
+    occam_regex::parse(&occam_regex::glob_to_regex(&spec.scope))
         .map_err(|e| SpecError::general(format!("bad scope glob `{}`: {e}", spec.scope)))?;
 
     match spec.mode {

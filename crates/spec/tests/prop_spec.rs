@@ -12,11 +12,16 @@
 //! - **Parser round trip** — rendering a spec back to the text syntax
 //!   and re-parsing it reproduces the same AST.
 //! - **Determinism** — compilation is a pure function of the spec.
+//! - **Scope syntax agreement** — the validator accepts and rejects
+//!   exactly the scope globs `Pattern::from_glob` does, with the same
+//!   error text, though it builds no automaton.
 
 use occam_netdb::AttrValue;
+use occam_regex::Pattern;
 use occam_rollback::{parse_log, LogEntry, OpStatus};
 use occam_spec::{compile, parse_spec, validate, Spec, Strategy, Terminal, TestKind};
 use proptest::prelude::*;
+use proptest::Strategy as _;
 
 /// Decodes a valid-by-construction spec from random bits: every shape
 /// the generator emits satisfies the semantic rules, so `validate` must
@@ -104,8 +109,65 @@ fn render(spec: &Spec) -> String {
     out
 }
 
+/// Checks one scope: `validate` must fail on it exactly when
+/// `Pattern::from_glob` does, and with the glob error in its message.
+fn scope_agrees(scope: &str) -> Result<(), String> {
+    let mut spec = Spec::new("scoped", scope);
+    spec.terminal = Some(Terminal::Active);
+    match (validate(&spec), Pattern::from_glob(scope)) {
+        (Ok(_), Ok(_)) => Ok(()),
+        (Err(got), Err(e)) if got.msg == format!("bad scope glob `{scope}`: {e}") => Ok(()),
+        (got, want) => Err(format!(
+            "scope {scope:?}: validate {:?}, from_glob {:?}",
+            got.map(|_| ()).map_err(|e| e.msg),
+            want.map(|_| ())
+        )),
+    }
+}
+
+/// Scope globs from an alphabet that mixes glob syntax, regex
+/// metacharacters and characters outside the device-name alphabet, so
+/// both well-formed and malformed globs come up often.
+fn arb_scope() -> impl proptest::Strategy<Value = String> {
+    let chars: Vec<char> = "dc01.pod*?[]-^()|+\\{}, aZé\t~".chars().collect();
+    proptest::collection::vec(proptest::sample::select(chars), 1..14)
+        .prop_map(|cs| cs.into_iter().collect())
+}
+
+#[test]
+fn validate_rejects_malformed_scopes_like_from_glob() {
+    for scope in [
+        "dc01.pod[",
+        "(",
+        ")",
+        "dc01.pod[9-0].*",
+        "dc01.[]",
+        "dc01|",
+        "dc\\",
+        "dc01.pod00.é",
+        "dc01.pod00.sw 1",
+        "dc01.pod0[0-3].*",
+        "dc01.*",
+        "*",
+    ] {
+        scope_agrees(scope).unwrap();
+    }
+    // The empty scope never reaches the glob check: it is missing, not
+    // malformed.
+    let mut empty = Spec::new("empty", "");
+    empty.terminal = Some(Terminal::Active);
+    assert!(validate(&empty).unwrap_err().msg.contains("no `scope`"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The validator's syntax-only scope check and `Pattern::from_glob`
+    /// accept and reject the same globs with the same error text.
+    #[test]
+    fn validate_scope_check_matches_from_glob(scope in arb_scope()) {
+        prop_assert!(scope_agrees(&scope).is_ok(), "{}", scope_agrees(&scope).unwrap_err());
+    }
 
     /// A compiled program aborted after any step — including with the
     /// failing entry itself recorded — leaves an execution log the

@@ -55,6 +55,9 @@ proptest! {
     #[test]
     fn wal_replay_is_total_at_every_prefix(writes in 1usize..6, seed in 0u64..1000) {
         let (rt, _ft) = occam::emulated_deployment(1, 4);
+        // Keep the WAL from here on: the replayed records are then the
+        // seed's checkpoint followed by the tasks' real batches.
+        rt.db().set_wal_floor(Some(0));
         let pods = ["dc01.pod00.*", "dc01.pod01.*"];
         for w in 0..writes {
             let scope = pods[(seed as usize + w) % pods.len()];

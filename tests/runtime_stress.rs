@@ -137,6 +137,8 @@ fn mixed_read_write_storm_preserves_db_consistency() {
 #[test]
 fn wal_replay_matches_after_concurrent_task_storm() {
     let (rt, _ft) = occam::emulated_deployment(1, 4);
+    // Keep the WAL from here on, so the storm's real batches replay.
+    rt.db().set_wal_floor(Some(0));
     let mut handles = Vec::new();
     for i in 0..12u32 {
         let rt = rt.clone();
