@@ -381,7 +381,6 @@ fn exercise_update() -> occam::Runtime {
     }
     let target = StoreSnapshot::replay(&records);
     let ops = diff(&old, &target);
-    obs.diff_ops.add(ops.len() as u64);
 
     // Cross-pod flows pin ECMP paths through the upgraded aggs, so the
     // synthesizer must stagger the drains into multiple waves.

@@ -7,11 +7,16 @@
 //! independent plan verification — and compares the synthesized plan's
 //! serial length against the naive one-device-per-wave ordering.
 //!
-//! Two hard gates (both modes, process exits non-zero otherwise):
+//! Hard gates (both modes, process exits non-zero otherwise):
 //!
 //! - independent verification finds **zero** violations in the plan;
 //! - the naive ordering needs at least **2×** as many serial waves as
-//!   the synthesized plan.
+//!   the synthesized plan;
+//! - the checker's path memo answered at least one lookup
+//!   (`path_hits > 0`), so it cannot be bypassed silently;
+//! - the search counters (waves, checks, splits, barriers,
+//!   counterexamples) equal the pinned values for this input and seed:
+//!   the checker may get faster, but the search must not change.
 //!
 //! Usage:
 //!
@@ -97,6 +102,14 @@ fn main() {
     }
     let target = StoreSnapshot::replay(&records);
 
+    // Search counters of the seed-42 plan for this input, pinned as
+    // (waves, checks, splits, barriers, counterexamples).
+    let expected_search: (usize, u64, u64, u64, u64) = if smoke {
+        (4, 15, 2, 5, 46)
+    } else {
+        (3, 10, 1, 3, 28)
+    };
+
     let started = Instant::now();
     let ops = diff(&old, &target);
     let diff_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -128,13 +141,16 @@ fn main() {
     let reduction = naive_waves as f64 / plan.serial_len().max(1) as f64;
     eprintln!(
         "synthesized {} waves for {} ops in {synth_ms:.1} ms \
-         ({} checks, {} splits, {} barriers); verified in {verify_ms:.1} ms, \
-         {} violations; naive ordering {naive_waves} waves ({reduction:.0}x reduction)",
+         ({} checks, {} splits, {} barriers, {}/{} path memo hits); \
+         verified in {verify_ms:.1} ms, {} violations; \
+         naive ordering {naive_waves} waves ({reduction:.0}x reduction)",
         plan.serial_len(),
         stats.ops,
         stats.checks,
         stats.splits,
         stats.barriers,
+        stats.path_hits,
+        stats.path_hits + stats.path_misses,
         violations.len(),
     );
 
@@ -145,7 +161,8 @@ fn main() {
          \"devices\":{devices},\"switches\":{switches},\
          \"classes\":{},\"ops\":{},\"synth_waves\":{},\"naive_waves\":{naive_waves},\
          \"wave_reduction\":{reduction:.2},\"checks\":{},\"splits\":{},\
-         \"barriers\":{},\"counterexamples\":{},\"diff_ms\":{diff_ms:.3},\
+         \"barriers\":{},\"counterexamples\":{},\"path_hits\":{},\
+         \"path_misses\":{},\"diff_ms\":{diff_ms:.3},\
          \"synth_ms\":{synth_ms:.3},\"verify_ms\":{verify_ms:.3},\
          \"verify_violations\":{}}}",
         classes.len(),
@@ -155,6 +172,8 @@ fn main() {
         stats.splits,
         stats.barriers,
         stats.counterexamples,
+        stats.path_hits,
+        stats.path_misses,
         violations.len(),
     );
     std::fs::write("BENCH_update.json", &json).expect("write BENCH_update.json");
@@ -171,5 +190,27 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("gates hold: zero violations, {reduction:.0}x fewer serial waves than naive ordering");
+    if stats.path_hits == 0 {
+        eprintln!("FAIL: the checker's path memo answered no lookup");
+        std::process::exit(1);
+    }
+    let search = (
+        plan.serial_len(),
+        stats.checks,
+        stats.splits,
+        stats.barriers,
+        stats.counterexamples,
+    );
+    if search != expected_search {
+        eprintln!(
+            "FAIL: search counters (waves, checks, splits, barriers, counterexamples) \
+             {search:?}, expected {expected_search:?}"
+        );
+        std::process::exit(1);
+    }
+    println!(
+        "gates hold: zero violations, {reduction:.0}x fewer serial waves than naive ordering, \
+         {} path memo hits, search counters as pinned",
+        stats.path_hits
+    );
 }

@@ -4,6 +4,7 @@
 use crate::switch::{FlowClass, SwitchState};
 use occam_topology::{DeviceId, FatTree, LinkId, Role, Topology};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A unidirectional traffic flow between two hosts.
 #[derive(Clone, Debug)]
@@ -61,8 +62,10 @@ impl TrafficSample {
 /// The emulated network.
 #[derive(Clone, Debug)]
 pub struct EmuNet {
-    /// The underlying topology graph.
-    pub topo: Topology,
+    /// The underlying topology graph, shared: it never changes after
+    /// construction, so planners take a reference-counted handle instead
+    /// of a copy.
+    pub topo: Arc<Topology>,
     state: HashMap<DeviceId, SwitchState>,
     link_up: Vec<bool>,
     /// Per-link capacity (Mbps); `f64::INFINITY` disables congestion.
@@ -79,7 +82,7 @@ impl EmuNet {
     /// Builds an emulated network over a Fat-tree; all links start up and
     /// all switches undrained.
     pub fn from_fattree(ft: &FatTree) -> EmuNet {
-        let topo = ft.topo.clone();
+        let topo = Arc::new(ft.topo.clone());
         let mut state = HashMap::new();
         for (id, d) in topo.devices() {
             if d.role != Role::Host {

@@ -33,6 +33,7 @@ use occam_netdb::{attrs, ComplianceReport, WalRecord};
 use occam_obs::EventKind;
 use occam_regex::Pattern;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A built management program, ready for the runtime. `Fn` (not
@@ -271,7 +272,6 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
     }
     let target = old.snapshot().overlay(&records);
     let ops = config_diff(old.snapshot(), &target);
-    obs.diff_ops.add(ops.len() as u64);
     if ops.is_empty() {
         return Ok(());
     }
@@ -309,9 +309,9 @@ fn run_waves(spec: &Spec, ctx: &TaskCtx) -> TaskResult<()> {
                     class
                 })
                 .collect();
-            (net.topo.clone(), classes)
+            (Arc::clone(&net.topo), classes)
         }
-        None => (occam_topology::Topology::new(), Vec::new()),
+        None => (Arc::new(occam_topology::Topology::new()), Vec::new()),
     };
 
     let base = ModelState {
@@ -533,10 +533,14 @@ mod tests {
         let generations = snap.get_attr(&scope, CONFIG_VERSION);
         assert!(!generations.is_empty());
         assert!(generations.values().all(|v| v.as_str() == Some("g9")));
+        // One op per scoped device, counted once per planned update.
+        assert_eq!(
+            rt.obs().counter_value("update.diff.ops"),
+            generations.len() as u64
+        );
     }
 
     fn harness() -> (occam_core::Runtime, occam_topology::FatTree) {
-        use std::sync::Arc;
         let reg = occam_obs::Registry::new();
         let ft = occam_topology::FatTree::build(1, 4).unwrap();
         let db = Arc::new(occam_netdb::Database::with_obs(&reg));

@@ -25,7 +25,8 @@
 
 use occam_regex::Pattern;
 use occam_topology::{DeviceId, LinkId, Topology};
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, HashSet};
 
 /// One unit of traffic the update must never break: a source/destination
 /// pair with a stable ECMP hash, optionally constrained to traverse a
@@ -70,18 +71,6 @@ pub struct ModelState {
     /// device that is `in_flux` but not `drained` black-holes traffic —
     /// exactly `SwitchState::black_holes()`.
     pub in_flux: HashSet<DeviceId>,
-}
-
-impl ModelState {
-    /// True when `id` may carry traffic at all.
-    fn usable_device(&self, id: DeviceId) -> bool {
-        !self.drained.contains(&id)
-    }
-
-    /// True when `id` drops the traffic it carries.
-    fn black_holes(&self, id: DeviceId) -> bool {
-        self.in_flux.contains(&id) && !self.drained.contains(&id)
-    }
 }
 
 /// Why a class fails in a given state.
@@ -134,15 +123,97 @@ impl std::fmt::Display for Violation {
 
 /// The model checker: a topology plus the traffic classes the update
 /// must preserve.
+///
+/// A class's forwarding path depends only on which devices are drained
+/// (`in_flux` matters only to the black-hole scan over that path), so
+/// the checker memoizes each class's path keyed by the exact drained set
+/// restricted to topology devices. A check therefore costs one ECMP BFS
+/// per class per *distinct* drained set over the checker's lifetime;
+/// repeated drained sets (the barrier-less mid-wave check, the post-wave
+/// boundary, the base state) cost a bitmap and a table lookup. The memo
+/// grows by at most one entry per check; the synthesizer and the
+/// verifier each build a fresh checker per run, so it never outlives
+/// one plan.
 pub struct Checker<'a> {
     topo: &'a Topology,
     classes: &'a [TrafficClass],
+    /// Per class, the topology devices matching its waypoint pattern,
+    /// sorted by name (the detour preference order); empty for a plain
+    /// class.
+    waypoints: Vec<Vec<DeviceId>>,
+    /// Drained-set bitmap → per-class route, filled on first use.
+    memo: RefCell<HashMap<Vec<u64>, Vec<Option<Route>>>>,
+    path_hits: Cell<u64>,
+    path_misses: Cell<u64>,
+}
+
+/// A class's forwarding outcome under one drained set.
+#[derive(Clone)]
+enum Route {
+    /// The forwarding walk, and the entry device of its first repeated
+    /// directed edge, if any.
+    Path {
+        path: Vec<DeviceId>,
+        loop_at: Option<DeviceId>,
+    },
+    /// No usable path exists.
+    NoPath,
+    /// The endpoints are connected, but no usable path traverses the
+    /// class's waypoint.
+    WaypointMissed,
+}
+
+/// The drained devices of one state as a dense bitmap over topology
+/// device ids: the memo key and the BFS link filter in one.
+struct DrainedMask(Vec<u64>);
+
+impl DrainedMask {
+    fn new(topo: &Topology, drained: &HashSet<DeviceId>) -> DrainedMask {
+        let n = topo.num_devices();
+        let mut words = vec![0u64; n.div_ceil(64)];
+        for id in drained {
+            let i = id.0 as usize;
+            if i < n {
+                words[i / 64] |= 1 << (i % 64);
+            }
+        }
+        DrainedMask(words)
+    }
+
+    fn contains(&self, id: DeviceId) -> bool {
+        let i = id.0 as usize;
+        self.0.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+    }
 }
 
 impl<'a> Checker<'a> {
-    /// Builds a checker over `topo` for `classes`.
+    /// Builds a checker over `topo` for `classes`. Waypoint candidates
+    /// do not depend on the model state, so each class's pattern is
+    /// matched against the topology's device names once, here.
     pub fn new(topo: &'a Topology, classes: &'a [TrafficClass]) -> Checker<'a> {
-        Checker { topo, classes }
+        let waypoints = classes
+            .iter()
+            .map(|c| {
+                let Some(wp) = &c.waypoint else {
+                    return Vec::new();
+                };
+                let mut named: Vec<(&str, DeviceId)> = topo
+                    .devices()
+                    .filter(|(_, d)| wp.matches(&d.name))
+                    .map(|(id, d)| (d.name.as_str(), id))
+                    .collect();
+                named.sort();
+                named.into_iter().map(|(_, id)| id).collect()
+            })
+            .collect();
+        Checker {
+            topo,
+            classes,
+            waypoints,
+            memo: RefCell::new(HashMap::new()),
+            path_hits: Cell::new(0),
+            path_misses: Cell::new(0),
+        }
     }
 
     /// The classes this checker enforces.
@@ -150,112 +221,124 @@ impl<'a> Checker<'a> {
         self.classes
     }
 
+    /// Class path lookups answered from the memo so far.
+    pub fn path_hits(&self) -> u64 {
+        self.path_hits.get()
+    }
+
+    /// Class path lookups that ran a BFS so far.
+    pub fn path_misses(&self) -> u64 {
+        self.path_misses.get()
+    }
+
     /// Checks every class against `state`; returns all violations (empty
     /// means the state is safe).
     pub fn check(&self, state: &ModelState) -> Vec<Violation> {
-        self.classes
-            .iter()
-            .filter_map(|c| self.check_class(c, state))
-            .collect()
-    }
-
-    /// Checks one class against `state`.
-    pub fn check_class(&self, class: &TrafficClass, state: &ModelState) -> Option<Violation> {
-        let fail = |kind| {
-            Some(Violation {
-                class: class.name.clone(),
-                kind,
-            })
-        };
-        if !state.usable_device(class.src) || !state.usable_device(class.dst) {
-            return fail(ViolationKind::NoPath);
-        }
-        let usable = |l: LinkId| {
-            let link = self.topo.link(l);
-            state.usable_device(link.a_end) && state.usable_device(link.z_end)
-        };
-        let path = match &class.waypoint {
-            None => self
-                .topo
-                .ecmp_path(class.src, class.dst, class.hash, usable),
-            Some(wp) => match self.waypointed_path(class, state, usable) {
-                Ok(p) => Some(p),
-                // Distinguish "no waypoint survives" from plain
-                // unreachability: if a direct path exists the fabric is
-                // connected and only the waypoint constraint failed.
-                Err(()) => {
-                    return if self
-                        .topo
-                        .ecmp_path(class.src, class.dst, class.hash, usable)
-                        .is_some()
-                    {
-                        fail(ViolationKind::WaypointMissed {
-                            pattern: wp.source().to_string(),
-                        })
-                    } else {
-                        fail(ViolationKind::NoPath)
-                    };
+        let drained = DrainedMask::new(self.topo, &state.drained);
+        let mut memo = self.memo.borrow_mut();
+        let routes = memo
+            .entry(drained.0.clone())
+            .or_insert_with(|| vec![None; self.classes.len()]);
+        let mut violations = Vec::new();
+        for (i, class) in self.classes.iter().enumerate() {
+            let mut fail = |kind| {
+                violations.push(Violation {
+                    class: class.name.clone(),
+                    kind,
+                })
+            };
+            if drained.contains(class.src) || drained.contains(class.dst) {
+                fail(ViolationKind::NoPath);
+                continue;
+            }
+            let route = match &mut routes[i] {
+                Some(route) => {
+                    self.path_hits.set(self.path_hits.get() + 1);
+                    route
                 }
-            },
-        };
-        let Some(path) = path else {
-            return fail(ViolationKind::NoPath);
-        };
-        if let Some(d) = path.iter().find(|d| state.black_holes(**d)) {
-            return fail(ViolationKind::Blackhole {
-                device: self.topo.device(*d).name.clone(),
-            });
-        }
-        if let Some(d) = first_repeated_edge(&path) {
-            return fail(ViolationKind::Loop {
-                device: self.topo.device(d).name.clone(),
-            });
-        }
-        None
-    }
-
-    /// A path `src → w → dst` through the first (by name) usable waypoint
-    /// `w` matching the class pattern, mirroring the emunet middlebox
-    /// detour. `Err(())` when no waypoint is reachable.
-    fn waypointed_path(
-        &self,
-        class: &TrafficClass,
-        state: &ModelState,
-        usable: impl Fn(LinkId) -> bool + Copy,
-    ) -> Result<Vec<DeviceId>, ()> {
-        let wp = class.waypoint.as_ref().expect("caller checked");
-        // Fast path: the natural ECMP path may already traverse a
-        // waypoint.
-        if let Some(direct) = self
-            .topo
-            .ecmp_path(class.src, class.dst, class.hash, usable)
-        {
-            if direct
-                .iter()
-                .any(|d| wp.matches(&self.topo.device(*d).name))
-            {
-                return Ok(direct);
+                slot => {
+                    self.path_misses.set(self.path_misses.get() + 1);
+                    slot.insert(self.route(i, &drained))
+                }
+            };
+            match route {
+                Route::NoPath => fail(ViolationKind::NoPath),
+                Route::WaypointMissed => fail(ViolationKind::WaypointMissed {
+                    pattern: class
+                        .waypoint
+                        .as_ref()
+                        .map(|wp| wp.source().to_string())
+                        .unwrap_or_default(),
+                }),
+                Route::Path { path, loop_at } => {
+                    let black_hole = path
+                        .iter()
+                        .find(|d| state.in_flux.contains(*d) && !drained.contains(**d));
+                    if let Some(d) = black_hole {
+                        fail(ViolationKind::Blackhole {
+                            device: self.topo.device(*d).name.clone(),
+                        });
+                    } else if let Some(d) = loop_at {
+                        fail(ViolationKind::Loop {
+                            device: self.topo.device(*d).name.clone(),
+                        });
+                    }
+                }
             }
         }
-        let mut candidates: Vec<(String, DeviceId)> = self
+        violations
+    }
+
+    /// Computes class `i`'s route with `drained` routed around: its ECMP
+    /// path, or for a waypoint class the natural path when it already
+    /// traverses a waypoint, else the detour through the first (by name)
+    /// usable waypoint, mirroring the emunet middlebox detour.
+    fn route(&self, i: usize, drained: &DrainedMask) -> Route {
+        let class = &self.classes[i];
+        let usable = |l: LinkId| {
+            let link = self.topo.link(l);
+            !drained.contains(link.a_end) && !drained.contains(link.z_end)
+        };
+        let direct = self
             .topo
-            .devices()
-            .filter(|(id, d)| wp.matches(&d.name) && state.usable_device(*id))
-            .map(|(id, d)| (d.name.clone(), id))
-            .collect();
-        candidates.sort();
-        for (_, w) in candidates {
-            let Some(head) = self.topo.ecmp_path(class.src, w, class.hash, usable) else {
-                continue;
-            };
-            let Some(tail) = self.topo.ecmp_path(w, class.dst, class.hash, usable) else {
-                continue;
-            };
-            let mut path = head;
-            path.extend_from_slice(&tail[1..]);
-            return Ok(path);
+            .ecmp_path(class.src, class.dst, class.hash, usable);
+        let path = match &class.waypoint {
+            Some(wp) => {
+                let through_waypoint = direct
+                    .as_ref()
+                    .is_some_and(|p| p.iter().any(|d| wp.matches(&self.topo.device(*d).name)));
+                if through_waypoint {
+                    direct
+                } else {
+                    let detour = self.waypoints[i]
+                        .iter()
+                        .filter(|w| !drained.contains(**w))
+                        .find_map(|&w| {
+                            let mut head = self.topo.ecmp_path(class.src, w, class.hash, usable)?;
+                            let tail = self.topo.ecmp_path(w, class.dst, class.hash, usable)?;
+                            head.extend_from_slice(&tail[1..]);
+                            Some(head)
+                        });
+                    match detour {
+                        Some(p) => Some(p),
+                        // Distinguish "no waypoint survives" from plain
+                        // unreachability: if a direct path exists the
+                        // fabric is connected and only the waypoint
+                        // constraint failed.
+                        None if direct.is_some() => return Route::WaypointMissed,
+                        None => None,
+                    }
+                }
+            }
+            None => direct,
+        };
+        match path {
+            Some(path) => Route::Path {
+                loop_at: first_repeated_edge(&path),
+                path,
+            },
+            None => Route::NoPath,
         }
-        Err(())
     }
 }
 

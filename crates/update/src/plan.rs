@@ -108,6 +108,11 @@ pub struct SynthStats {
     pub barriers: u64,
     /// Counterexample violations observed during the search.
     pub counterexamples: u64,
+    /// Class path lookups the checker answered from its memo (the
+    /// drained set was seen before in this run).
+    pub path_hits: u64,
+    /// Class path lookups that ran an ECMP BFS.
+    pub path_misses: u64,
 }
 
 /// Synthesis failure: some single operation cannot be applied without
@@ -214,6 +219,8 @@ impl<'a> Synthesizer<'a> {
         }
 
         stats.waves = waves.len();
+        stats.path_hits = checker.path_hits();
+        stats.path_misses = checker.path_misses();
         if let Some(obs) = &self.obs {
             obs.synth_plans.inc();
             obs.diff_ops.add(stats.ops as u64);

@@ -1,6 +1,7 @@
 //! Property tests for the update planner (DESIGN.md §15).
 //!
-//! Three properties over randomly generated fabric-wide changes:
+//! Four properties over randomly generated fabric-wide changes and
+//! model states:
 //!
 //! - **Subset soundness** — the synthesizer model-checks each wave with
 //!   *all* its devices drained / in flux, but physically a wave drains
@@ -13,12 +14,21 @@
 //!   parses, so a mechanical rollback plan always exists.
 //! - **Determinism** — synthesis is a pure function of `(ops, seed)`,
 //!   and plans under different seeds still verify clean.
+//! - **Checker equivalence** — the memoized, bitmap-keyed [`Checker`]
+//!   returns exactly the violations of a direct reference model that
+//!   recomputes every path with `HashSet` lookups, on memo misses and
+//!   memo hits alike.
 
 use occam_netdb::{attrs, AttrValue, StoreSnapshot, WalRecord};
+use occam_regex::Pattern;
 use occam_rollback::{parse_log, LogEntry, OpStatus, OpType};
-use occam_topology::{FatTree, Role};
-use occam_update::{diff, wave_steps, StepKind, Synthesizer, TrafficClass, UpdateOp, Wave};
+use occam_topology::{DeviceId, FatTree, LinkId, Role, Topology};
+use occam_update::{
+    diff, wave_steps, Checker, ModelState, StepKind, Synthesizer, TrafficClass, UpdateOp,
+    Violation, ViolationKind, Wave,
+};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn fabric() -> FatTree {
     FatTree::build(1, 4).expect("valid fat-tree arity")
@@ -125,6 +135,149 @@ fn wave_log(wave: &Wave) -> Vec<LogEntry> {
     wave_steps(wave).into_iter().flat_map(entries_for).collect()
 }
 
+/// The reference model: the checker's semantics computed directly, one
+/// ECMP BFS per class per check with `HashSet` lookups per link and a
+/// fresh regex scan for waypoint candidates. No memo, no bitmap.
+fn reference_check(
+    topo: &Topology,
+    classes: &[TrafficClass],
+    state: &ModelState,
+) -> Vec<Violation> {
+    classes
+        .iter()
+        .filter_map(|c| reference_check_class(topo, c, state))
+        .collect()
+}
+
+fn reference_check_class(
+    topo: &Topology,
+    class: &TrafficClass,
+    state: &ModelState,
+) -> Option<Violation> {
+    let fail = |kind| {
+        Some(Violation {
+            class: class.name.clone(),
+            kind,
+        })
+    };
+    let usable_device = |id: DeviceId| !state.drained.contains(&id);
+    if !usable_device(class.src) || !usable_device(class.dst) {
+        return fail(ViolationKind::NoPath);
+    }
+    let usable = |l: LinkId| {
+        let link = topo.link(l);
+        usable_device(link.a_end) && usable_device(link.z_end)
+    };
+    let path = match &class.waypoint {
+        None => topo.ecmp_path(class.src, class.dst, class.hash, usable),
+        Some(wp) => match reference_waypointed_path(topo, class, wp, &usable_device, usable) {
+            Some(p) => Some(p),
+            None => {
+                return if topo
+                    .ecmp_path(class.src, class.dst, class.hash, usable)
+                    .is_some()
+                {
+                    fail(ViolationKind::WaypointMissed {
+                        pattern: wp.source().to_string(),
+                    })
+                } else {
+                    fail(ViolationKind::NoPath)
+                };
+            }
+        },
+    };
+    let Some(path) = path else {
+        return fail(ViolationKind::NoPath);
+    };
+    if let Some(d) = path
+        .iter()
+        .find(|d| state.in_flux.contains(d) && !state.drained.contains(d))
+    {
+        return fail(ViolationKind::Blackhole {
+            device: topo.device(*d).name.clone(),
+        });
+    }
+    let mut seen = HashSet::new();
+    for pair in path.windows(2) {
+        if !seen.insert((pair[0], pair[1])) {
+            return fail(ViolationKind::Loop {
+                device: topo.device(pair[0]).name.clone(),
+            });
+        }
+    }
+    None
+}
+
+fn reference_waypointed_path(
+    topo: &Topology,
+    class: &TrafficClass,
+    wp: &Pattern,
+    usable_device: &dyn Fn(DeviceId) -> bool,
+    usable: impl Fn(LinkId) -> bool + Copy,
+) -> Option<Vec<DeviceId>> {
+    if let Some(direct) = topo.ecmp_path(class.src, class.dst, class.hash, usable) {
+        if direct.iter().any(|d| wp.matches(&topo.device(*d).name)) {
+            return Some(direct);
+        }
+    }
+    let mut candidates: Vec<(String, DeviceId)> = topo
+        .devices()
+        .filter(|(id, d)| wp.matches(&d.name) && usable_device(*id))
+        .map(|(id, d)| (d.name.clone(), id))
+        .collect();
+    candidates.sort();
+    for (_, w) in candidates {
+        let Some(head) = topo.ecmp_path(class.src, w, class.hash, usable) else {
+            continue;
+        };
+        let Some(tail) = topo.ecmp_path(w, class.dst, class.hash, usable) else {
+            continue;
+        };
+        let mut path = head;
+        path.extend_from_slice(&tail[1..]);
+        return Some(path);
+    }
+    None
+}
+
+/// Waypoint patterns for generated classes: a pod's aggs (a detour),
+/// every core (usually on the natural path), and a name no device has.
+const WAYPOINTS: [&str; 3] = [
+    "dc01\\.pod00\\.agg0[01]",
+    "dc01\\.core\\..*",
+    "dc01\\.pod99\\.agg00",
+];
+
+/// Classes from generated `(src, dst, hash, waypoint)` picks: endpoints
+/// are any devices (hosts and switches alike), a waypoint index past
+/// the pattern list means a plain class.
+fn generated_classes(topo: &Topology, picks: &[(u32, u32, u64, u8)]) -> Vec<TrafficClass> {
+    let n = topo.num_devices() as u32;
+    picks
+        .iter()
+        .enumerate()
+        .map(|(i, &(src, dst, hash, wp))| TrafficClass {
+            name: format!("g{i}"),
+            src: DeviceId(src % n),
+            dst: DeviceId(dst % n),
+            hash,
+            waypoint: WAYPOINTS
+                .get(wp as usize % (WAYPOINTS.len() + 2))
+                .map(|p| Pattern::new(p).expect("waypoint regex")),
+        })
+        .collect()
+}
+
+/// A model state from generated device ids. Ids run past the end of
+/// both topologies (36 and 99 devices); those name no device and must
+/// never change a verdict.
+fn state_from(ids: &[u32], flux: &[u32]) -> ModelState {
+    ModelState {
+        drained: ids.iter().map(|&i| DeviceId(i)).collect(),
+        in_flux: flux.iter().map(|&i| DeviceId(i)).collect(),
+    }
+}
+
 proptest! {
     /// Every physical intermediate of every wave — any subset drained
     /// during the barrier, any subset rewritten during the push — holds
@@ -155,7 +308,6 @@ proptest! {
         prop_assert_eq!(planned, wanted);
 
         // Partial-state soundness, replayed on the verifier's model.
-        use occam_update::{Checker, ModelState};
         let checker = Checker::new(&ft.topo, &classes);
         let mut model = ModelState::default();
         for wave in &plan.waves {
@@ -256,5 +408,47 @@ proptest! {
         let other = synth_b.synthesize(&ops).expect("feasible plan");
         prop_assert!(synth_b.verify(&other).is_empty());
         prop_assert_eq!(other.num_ops(), ops.len());
+    }
+
+    /// The memoized checker equals the reference model on random
+    /// drained / in-flux subsets of k=4 and k=6 fat-trees, with plain
+    /// and waypoint classes. Three states are checked in sequence (the
+    /// second shares the first's drained set with a different in-flux
+    /// set), then the whole sequence again: the repeat is answered from
+    /// the memo and must not change a single violation.
+    #[test]
+    fn memoized_checker_equals_reference_model(
+        k in prop::sample::select(vec![4u32, 6]),
+        picks in prop::collection::vec(
+            (any::<u32>(), any::<u32>(), any::<u64>(), any::<u8>()),
+            1..8,
+        ),
+        drained_a in prop::collection::vec(0u32..110, 0..10),
+        drained_b in prop::collection::vec(0u32..110, 0..10),
+        flux_a in prop::collection::vec(0u32..110, 0..10),
+        flux_b in prop::collection::vec(0u32..110, 0..10),
+    ) {
+        let ft = FatTree::build(1, k).expect("valid fat-tree arity");
+        let classes = generated_classes(&ft.topo, &picks);
+        let states = [
+            state_from(&drained_a, &flux_a),
+            state_from(&drained_a, &flux_b),
+            state_from(&drained_b, &flux_a),
+        ];
+        let checker = Checker::new(&ft.topo, &classes);
+        for round in 0..2 {
+            for (i, state) in states.iter().enumerate() {
+                let expected = reference_check(&ft.topo, &classes, state);
+                prop_assert_eq!(
+                    checker.check(state),
+                    expected,
+                    "state {} on pass {}",
+                    i,
+                    round
+                );
+            }
+        }
+        // The second pass repeats every lookup of the first as a hit.
+        prop_assert!(checker.path_hits() >= checker.path_misses());
     }
 }
